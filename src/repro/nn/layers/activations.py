@@ -69,8 +69,9 @@ class Sigmoid(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         output = check_forward_called(self._output, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        return grad_output * output * (1.0 - output)
+        grad = np.asarray(grad_output, dtype=np.float64) * output
+        grad *= 1.0 - output
+        return grad
 
 
 class Tanh(Layer):
@@ -109,13 +110,16 @@ class Softplus(Layer):
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid that avoids overflow for large |x|."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    """Numerically stable sigmoid that avoids overflow for large |x|.
+
+    ``1 / (1 + exp(-x))`` for ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    otherwise (NaN included).  Both branches share ``exp(min(x, -x))``,
+    which is exactly ``exp(-x)`` or ``exp(x)`` respectively (``min`` keeps a
+    NaN's own sign and payload, where ``-abs`` would not), so selecting the
+    numerator gives every bit of the two-branch formula without gathers.
+    """
+    decay = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, decay) / (1.0 + decay)
 
 
 _ACTIVATIONS = {

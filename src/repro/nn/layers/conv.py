@@ -4,13 +4,18 @@ The UE-side model of the paper is a small CNN operating on depth images, so a
 single, well-tested Conv2D layer (NCHW layout, configurable stride and
 padding) is the workhorse of the image branch.
 
-The hot path lowers convolution to batched GEMMs: patches are gathered with
-:func:`numpy.lib.stride_tricks.sliding_window_view` into a column matrix
+The hot path lowers convolution to one GEMM per sample: patches are gathered
+with :func:`numpy.lib.stride_tricks.sliding_window_view` into a column matrix
 (``im2col``) that is contracted against the flattened kernel with
-``np.matmul`` (one broadcasted GEMM over the batch axis).  The column buffer
-is cached on the layer and reused across steps with the same geometry, so
-steady-state training does no per-step patch allocation.  The same matmul
-formulations generalize to a leading fleet-member axis bitwise-identically —
+``np.matmul``.  :class:`Conv2D` never builds the whole batch's column matrix
+(72 x 1600 doubles per image for the paper's cut layer): it streams im2col
+over batch chunks through one scratch of at most :data:`IM2COL_SCRATCH_BYTES`,
+filled again in backward.  The column gradient is scattered back (col2im) a
+chunk at a time; for ``out_channels == 1`` it is rank one, so each kernel
+offset's slab is formed as ``w[0, :, i, j] * g`` and no column gradient is
+held.  Each sample still gets the same GEMMs and every pixel the same adds in
+the same order, so the result equals the whole-batch lowering bit for bit.
+That lowering generalizes to a leading fleet-member axis bitwise-identically —
 see :mod:`repro.nn.stacked` for the stacked-weight variants used by the
 batched fleet backend.
 
@@ -31,6 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.nn.initializers import get_initializer
 from repro.nn.layers.base import Layer, check_forward_called
 from repro.utils.seeding import SeedLike
+
+IM2COL_SCRATCH_BYTES = 1 << 20
+"""Byte budget of a :class:`Conv2D` layer's im2col scratch (fits a core's L2)."""
 
 
 def _pair(value: int | Tuple[int, int]) -> Tuple[int, int]:
@@ -223,11 +231,10 @@ def conv2d_backward_reference(
 class Conv2D(Layer):
     """2-D convolution over inputs of shape ``(batch, channels, H, W)``.
 
-    Args:
-        cache_patches: reuse the im2col column buffer across forward passes
-            with the same input geometry (the steady state of minibatch
-            training).  Disable for layers fed wildly varying shapes to avoid
-            holding the largest buffer alive.
+    The im2col lowering streams over batch chunks through one scratch buffer
+    of at most :data:`IM2COL_SCRATCH_BYTES` (or one sample, if that is
+    larger).  The scratch is reused by every call with the same geometry and
+    is never part of the layer's state.
     """
 
     def __init__(
@@ -239,7 +246,6 @@ class Conv2D(Layer):
         padding: int | Tuple[int, int] | str = 0,
         use_bias: bool = True,
         weight_init: str = "he_uniform",
-        cache_patches: bool = True,
         name: str | None = None,
         seed: SeedLike = None,
     ):
@@ -261,7 +267,6 @@ class Conv2D(Layer):
         else:
             self.padding = _pair(padding)
         self.use_bias = bool(use_bias)
-        self.cache_patches = bool(cache_patches)
 
         kh, kw = self.kernel_size
         w_init = get_initializer(weight_init)
@@ -275,8 +280,8 @@ class Conv2D(Layer):
         else:
             self.bias = None
 
-        self._cols: np.ndarray | None = None
-        self._input_shape: Tuple[int, int, int, int] | None = None
+        self._padded: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     def output_shape(self, height: int, width: int) -> Tuple[int, int, int]:
         """Return ``(out_channels, out_h, out_w)`` for a given input size."""
@@ -287,6 +292,31 @@ class Conv2D(Layer):
             width, self.kernel_size[1], self.stride[1], self.padding[1]
         )
         return self.out_channels, out_h, out_w
+
+    def _column_chunks(self, padded: np.ndarray, spatial: int):
+        """Yield ``(start, stop, cols)``: the im2col matrix, chunk by chunk.
+
+        ``padded`` is the zero-padded input.  Every chunk is written into the
+        layer's scratch, which holds as many samples as fit
+        :data:`IM2COL_SCRATCH_BYTES` (at least one, at most the batch) and is
+        reallocated only when that shape changes.
+        """
+        batch = padded.shape[0]
+        features = self.in_channels * self.kernel_size[0] * self.kernel_size[1]
+        sample_bytes = features * spatial * np.dtype(np.float64).itemsize
+        chunk = max(1, min(batch, IM2COL_SCRATCH_BYTES // sample_bytes))
+        if self._scratch is None or self._scratch.shape != (chunk, features, spatial):
+            self._scratch = np.empty((chunk, features, spatial))
+        for start in range(0, batch, chunk):
+            stop = min(start + chunk, batch)
+            cols = im2col(
+                padded[start:stop],
+                self.kernel_size,
+                self.stride,
+                (0, 0),
+                out=self._scratch[: stop - start],
+            )
+            yield start, stop, cols
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -302,40 +332,82 @@ class Conv2D(Layer):
             )
         batch, _, height, width = inputs.shape
         _, out_h, out_w = self.output_shape(height, width)
-
-        buffer = self._cols if self.cache_patches else None
-        cols = im2col(inputs, self.kernel_size, self.stride, self.padding, out=buffer)
-        self._cols = cols
-        self._input_shape = inputs.shape
+        ph, pw = self.padding
+        # Padded once for the whole batch and kept for backward: a fraction
+        # of the column matrix, which is only ever built chunk by chunk.
+        if ph or pw:
+            inputs = np.pad(inputs, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        self._padded = inputs
 
         kernel_matrix = self.weight.value.reshape(self.out_channels, -1)
-        # (batch, out_channels, out_h * out_w): one broadcasted GEMM over the
-        # batch axis.  np.matmul here is bitwise-identical per batch slice to
-        # np.dot, which keeps the stacked fleet variants in repro.nn.stacked
-        # exactly equal to this path member-for-member.
-        output = np.matmul(kernel_matrix, cols)
+        output = np.empty((batch, self.out_channels, out_h * out_w))
+        # One GEMM per sample, as in the whole-batch broadcasted np.matmul
+        # (and the stacked fleet kernels in repro.nn.stacked), so chunking
+        # changes no bit of the output.
+        for start, stop, cols in self._column_chunks(inputs, out_h * out_w):
+            np.matmul(kernel_matrix, cols, out=output[start:stop])
         if self.use_bias:
             output += self.bias.value[None, :, None]
         return output.reshape(batch, self.out_channels, out_h, out_w)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cols = check_forward_called(self._cols, self)
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        batch = grad_output.shape[0]
-        # Explicit spatial size: reshape(-1) cannot infer it for empty batches.
-        grad_flat = grad_output.reshape(
-            batch, self.out_channels, grad_output.shape[2] * grad_output.shape[3]
-        )
+    def _column_grad_slabs(self, grad_chunk: np.ndarray, cols: np.ndarray):
+        """Yield ``(i, j, slab)``: the column gradient of a chunk, per offset.
 
-        kernel_matrix = self.weight.value.reshape(self.out_channels, -1)
-        # Per-batch GEMMs reduced over the batch axis; matches the stacked
-        # fleet kernels bitwise (see repro.nn.stacked).
-        grad_kernel = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-        self.weight.grad += grad_kernel.reshape(self.weight.value.shape)
+        ``slab`` is the ``(n, in_channels, out_h * out_w)`` part of
+        ``W^T @ grad`` belonging to kernel offset ``(i, j)``; offsets come in
+        :func:`col2im`'s order.  Both variants overwrite ``cols`` (the
+        chunk's columns, no longer needed).
+        """
+        count, spatial = grad_chunk.shape[0], grad_chunk.shape[2]
+        kh, kw = self.kernel_size
+        weight = self.weight.value
+        if self.out_channels == 1:
+            # A rank-1 column gradient: offset (i, j)'s slab is w[0, :, i, j]
+            # times g, the product the K=1 GEMM forms, so only one slab is
+            # ever held instead of the whole column gradient.
+            slab = cols.reshape(-1)[: count * self.in_channels * spatial]
+            slab = slab.reshape(count, self.in_channels, spatial)
+            for i in range(kh):
+                for j in range(kw):
+                    np.multiply(weight[0, :, i, j, None], grad_chunk, out=slab)
+                    yield i, j, slab
+            return
+        kernel_matrix = weight.reshape(self.out_channels, -1)
+        grad_cols = np.matmul(kernel_matrix.T, grad_chunk, out=cols)
+        grad_cols = grad_cols.reshape(count, self.in_channels, kh, kw, spatial)
+        for i in range(kh):
+            for j in range(kw):
+                yield i, j, grad_cols[:, :, i, j]
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        padded = check_forward_called(self._padded, self)
+        grad_output = np.asarray(grad_output, dtype=np.float64)
+        batch, _, padded_h, padded_w = padded.shape
+        out_h, out_w = grad_output.shape[2], grad_output.shape[3]
+        sh, sw = self.stride
+        ph, pw = self.padding
+        grad_flat = grad_output.reshape(batch, self.out_channels, out_h * out_w)
+        weight_shape = self.weight.value.shape
+
+        # The per-sample weight products are reduced by the same
+        # ``.sum(axis=0)`` over the same array as the whole-batch lowering:
+        # numpy sums pairwise when ``out_channels * features == 1``, so a
+        # running sum across chunks would not match it bit for bit.
+        products = np.empty((batch, self.out_channels, self.weight.value[0].size))
+        grad_padded = np.zeros(padded.shape)
+        for start, stop, cols in self._column_chunks(padded, out_h * out_w):
+            grad_chunk = grad_flat[start:stop]
+            np.matmul(grad_chunk, cols.transpose(0, 2, 1), out=products[start:stop])
+            # col2im, restricted to this chunk's rows: every padded pixel
+            # still receives its addends in the whole-batch (i, j) order.
+            target = grad_padded[start:stop]
+            for i, j, slab in self._column_grad_slabs(grad_chunk, cols):
+                window = target[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
+                window += slab.reshape(window.shape)
+
+        self.weight.grad += products.sum(axis=0).reshape(weight_shape)
         if self.use_bias:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
-
-        grad_cols = np.matmul(kernel_matrix.T, grad_flat)
-        return col2im(
-            grad_cols, self._input_shape, self.kernel_size, self.stride, self.padding
-        )
+        if ph == 0 and pw == 0:
+            return grad_padded
+        return grad_padded[:, :, ph : padded_h - ph, pw : padded_w - pw]

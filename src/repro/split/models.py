@@ -37,9 +37,10 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
     that the subsequent pooling stage controls the transmitted resolution
     exactly as in the paper.
 
-    The convolutions run with ``cache_patches=True``: training feeds the CNN a
-    fixed ``batch * L`` image geometry every step, so each layer's im2col
-    column buffer is allocated once and reused for the whole run.
+    Each convolution streams its im2col lowering through one scratch buffer
+    of at most ``IM2COL_SCRATCH_BYTES`` (see :mod:`repro.nn.layers.conv`);
+    training feeds the CNN a fixed ``batch * L`` image geometry every step,
+    so that buffer is allocated once and reused for the whole run.
     """
     if not config.use_image:
         raise ValueError("cannot build a UE CNN for an RF-only configuration")
@@ -53,7 +54,6 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
                 out_channels,
                 config.cnn_kernel_size,
                 padding="same",
-                cache_patches=True,
                 seed=seeds[index],
                 name=f"conv{index}",
             )
@@ -66,7 +66,6 @@ def build_ue_cnn(config: ModelConfig, seed: SeedLike = None) -> Sequential:
             1,
             config.cnn_kernel_size,
             padding="same",
-            cache_patches=True,
             seed=seeds[-1],
             name="conv_out",
         )

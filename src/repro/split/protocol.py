@@ -279,8 +279,8 @@ class SplitTrainingProtocol:
         """Predict normalized received power for a set of sequences.
 
         Inference is performed in evaluation mode and in minibatches to bound
-        memory use (``batch_size`` also caps the cached im2col buffer the CNN
-        reuses across minibatches); no communication time is simulated
+        memory use (activations scale with ``batch_size``; the CNN's im2col
+        scratch does not); no communication time is simulated
         (prediction payloads are single feature vectors, negligible next to
         training payloads).  ``batch_size`` defaults to
         ``TrainingConfig.eval_batch_size``.

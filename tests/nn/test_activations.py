@@ -54,6 +54,42 @@ def test_stable_sigmoid_no_overflow():
     assert values[1] == pytest.approx(1.0, abs=1e-12)
 
 
+def two_branch_sigmoid(x):
+    """The boolean-mask formulation ``stable_sigmoid`` must match bitwise."""
+    out = np.empty_like(x, dtype=np.float64)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+def test_stable_sigmoid_is_bitwise_the_two_branch_formula(gen):
+    nans = np.array(
+        [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123],
+        dtype=np.uint64,
+    ).view(np.float64)
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 709.8, -745.2, 1e-300, -1e-300]
+    )
+    values = np.concatenate([nans, special, gen.normal(scale=20.0, size=5000)])
+    expected = two_branch_sigmoid(values).view(np.uint64)
+    assert np.array_equal(stable_sigmoid(values).view(np.uint64), expected)
+    grid = values[-4000:].reshape(40, 100)
+    assert np.array_equal(
+        stable_sigmoid(grid).view(np.uint64), two_branch_sigmoid(grid).view(np.uint64)
+    )
+
+
+def test_sigmoid_backward_keeps_the_multiply_order(gen):
+    layer = Sigmoid()
+    output = layer.forward(gen.normal(scale=4.0, size=(6, 7)))
+    grad_output = gen.normal(size=(6, 7))
+    expected = grad_output * output * (1.0 - output)
+    grad = layer.backward(grad_output)
+    assert np.array_equal(grad.view(np.uint64), expected.view(np.uint64))
+
+
 def test_tanh_matches_numpy(gen):
     layer = Tanh()
     inputs = gen.normal(size=(4, 5))

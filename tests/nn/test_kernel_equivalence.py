@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers.conv import (
+    IM2COL_SCRATCH_BYTES,
     Conv2D,
     conv2d_backward_reference,
     conv2d_forward_reference,
@@ -99,9 +100,10 @@ def test_conv_cached_patch_buffer_is_reused_and_correct(gen):
     inputs_a = gen.normal(size=(4, 2, 6, 6))
     inputs_b = gen.normal(size=(4, 2, 6, 6))
     layer.forward(inputs_a)
-    first_buffer = layer._cols
+    first_buffer = layer._scratch
     vectorized = layer.forward(inputs_b)
-    assert layer._cols is first_buffer  # same geometry: buffer reused
+    layer.backward(np.ones_like(vectorized))
+    assert layer._scratch is first_buffer  # same geometry: scratch reused
     reference = conv2d_forward_reference(
         inputs_b, layer.weight.value, layer.bias.value, layer.stride, layer.padding
     )
@@ -113,6 +115,26 @@ def test_conv_cached_patch_buffer_is_reused_and_correct(gen):
         smaller, layer.weight.value, layer.bias.value, layer.stride, layer.padding
     )
     assert np.max(np.abs(vectorized_small - reference_small)) <= TOL
+
+
+def test_conv_scratch_stays_within_budget():
+    # The paper's cut layer: one sample's columns take ~0.9 MB (a 1024-image
+    # predict batch would take ~0.9 GB), so the scratch holds one sample.
+    layer = Conv2D(8, 1, 3, padding="same", seed=0)
+    inputs = np.zeros((64, 8, 40, 40))
+    layer.forward(inputs)
+    assert len(layer._scratch) == 1
+    assert layer._scratch.nbytes <= IM2COL_SCRATCH_BYTES
+    first_buffer = layer._scratch
+    layer.forward(inputs[:16])
+    assert layer._scratch is first_buffer
+    # Small layers batch several samples per chunk, never past the batch.
+    small = Conv2D(1, 8, 3, padding="same", seed=0)
+    small.forward(np.zeros((256, 1, 40, 40)))
+    assert 1 < len(small._scratch) < 256
+    assert small._scratch.nbytes <= IM2COL_SCRATCH_BYTES
+    small.forward(np.zeros((2, 1, 40, 40)))
+    assert len(small._scratch) == 2
 
 
 def test_conv_gradcheck_vectorized_path(gen, gradcheck):

@@ -1,8 +1,8 @@
 """Round-trip serialization of the vectorized Conv2D / recurrent layers.
 
-The PR-1 vectorization added transient work buffers to the hot layers: the
-cached im2col column buffer on :class:`Conv2D` (``cache_patches=True``) and
-the preallocated state/gate caches on the recurrent cells.  These tests pin
+The vectorized hot layers hold transient work buffers: the im2col scratch
+on :class:`Conv2D` and the preallocated state/gate caches on the recurrent
+cells.  These tests pin
 the contract that saved state contains *only* trainable parameters — never
 the transient caches — and that a freshly constructed layer loaded from disk
 reproduces the original outputs exactly.
@@ -20,6 +20,7 @@ from repro.nn import (
     parameters_allclose,
     save_parameters,
 )
+from repro.nn.layers.conv import IM2COL_SCRATCH_BYTES
 
 
 @pytest.fixture()
@@ -38,9 +39,10 @@ def saved_keys(path):
 
 
 def test_conv2d_state_excludes_im2col_buffer(tmp_path, conv_inputs):
-    layer = Conv2D(2, 4, kernel_size=3, padding="same", cache_patches=True, seed=0)
+    layer = Conv2D(2, 4, kernel_size=3, padding="same", seed=0)
     layer.forward(conv_inputs)
-    assert layer._cols is not None, "forward must populate the column cache"
+    assert layer._scratch is not None, "forward must populate the im2col scratch"
+    assert layer._scratch.nbytes <= IM2COL_SCRATCH_BYTES
 
     expected_keys = {"weight", "bias"}
     assert set(layer.state_dict()) == expected_keys
@@ -48,12 +50,15 @@ def test_conv2d_state_excludes_im2col_buffer(tmp_path, conv_inputs):
     path = tmp_path / "conv.npz"
     save_parameters(layer, path)
     assert saved_keys(path) == expected_keys
+    with np.load(path) as archive:
+        saved_bytes = sum(archive[key].nbytes for key in archive.files)
+    assert saved_bytes == layer.weight.value.nbytes + layer.bias.value.nbytes
 
-    clone = Conv2D(2, 4, kernel_size=3, padding="same", cache_patches=True, seed=99)
+    clone = Conv2D(2, 4, kernel_size=3, padding="same", seed=99)
     assert not parameters_allclose(layer, clone)
     load_parameters(clone, path)
     assert parameters_allclose(layer, clone)
-    assert clone._cols is None, "loading parameters must not create caches"
+    assert clone._scratch is None, "loading parameters must not create buffers"
     assert np.allclose(layer.forward(conv_inputs), clone.forward(conv_inputs))
 
 
